@@ -40,6 +40,7 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "error: %s\n", RT.errorMessage().c_str());
     return 1;
   }
+  std::printf("%s", RT.output().c_str()); // "session done <checksum>"
 
   std::printf("\nprofile: %.2f%% of functions called once, "
               "%.2f%% with a single argument set\n",

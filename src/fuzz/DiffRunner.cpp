@@ -136,15 +136,21 @@ RunOutcome runOnce(const std::string &Source, const EngineSetup &Setup) {
   return Out;
 }
 
-DiffResult runMatrix(const std::string &Source,
-                     const std::vector<EngineSetup> &Matrix) {
+DiffResult
+runMatrix(const std::string &Source, const std::vector<EngineSetup> &Matrix,
+          const std::function<void(const EngineSetup &)> &OnColumn) {
+  auto Run = [&](const EngineSetup &S) {
+    if (OnColumn)
+      OnColumn(S);
+    return runOnce(Source, S);
+  };
   DiffResult Result;
   const EngineSetup *Ref = nullptr;
   RunOutcome RefOut;
   for (const EngineSetup &S : Matrix) {
     if (!S.UseJit) {
       Ref = &S;
-      RefOut = runOnce(Source, S);
+      RefOut = Run(S);
       break;
     }
   }
@@ -152,12 +158,12 @@ DiffResult runMatrix(const std::string &Source,
     EngineSetup Implied;
     Implied.Name = "interp";
     Implied.UseJit = false;
-    RefOut = runOnce(Source, Implied);
+    RefOut = Run(Implied);
   }
   for (const EngineSetup &S : Matrix) {
     if (&S == Ref)
       continue;
-    RunOutcome Got = runOnce(Source, S);
+    RunOutcome Got = Run(S);
     if (!Got.sameObservable(RefOut))
       Result.Divergences.push_back({S.Name, RefOut, std::move(Got)});
   }

@@ -18,6 +18,7 @@
 
 #include "jit/Engine.h"
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -80,9 +81,12 @@ struct DiffResult {
 
 /// Runs \p Source under every setup in \p Matrix. The first setup with
 /// UseJit == false is the reference; if none is, a plain interpreter
-/// reference is implied.
-DiffResult runMatrix(const std::string &Source,
-                     const std::vector<EngineSetup> &Matrix);
+/// reference is implied. \p OnColumn, when set, is called with each
+/// setup just before it runs (the fuzz CLI uses it to name the column a
+/// crash happened in).
+DiffResult runMatrix(
+    const std::string &Source, const std::vector<EngineSetup> &Matrix,
+    const std::function<void(const EngineSetup &)> &OnColumn = nullptr);
 
 /// Formats a human-readable divergence report: seed, config, the
 /// expected/actual observables, and the actual run's bailout-reason and

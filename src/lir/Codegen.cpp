@@ -986,6 +986,12 @@ std::unique_ptr<NativeCode> CodeGenerator::emitFinal(CodegenStats *Stats) {
   for (const auto &[BlockId, LIdx] : BlockStartL)
     BlockFinal[BlockId] = FinalOffset[LIdx];
 
+  // Intervals are sorted by Start (allocateRegisters), so one sweep over
+  // the call sites keeps the intervals live at each: Open gains those
+  // that have started and loses those that have ended.
+  size_t NextInterval = 0;
+  std::vector<size_t> Open; // Indices into Intervals.
+
   // Second pass: emit.
   for (size_t P = 0; P != Lir.size(); ++P) {
     LIns L = Lir[P];
@@ -1029,10 +1035,20 @@ std::unique_ptr<NativeCode> CodeGenerator::emitFinal(CodegenStats *Stats) {
     // order keeps StackMaps sorted by PC for mapForPC's binary search.
     if (L.Op == NOp::CallV || L.Op == NOp::CallM || L.Op == NOp::CallT ||
         L.Op == NOp::NewCall) {
+      while (NextInterval != Intervals.size() &&
+             Intervals[NextInterval].Start <= P)
+        Open.push_back(NextInterval++);
       StackMap M;
       M.PC = static_cast<uint32_t>(Out->Code.size());
-      for (const Interval &Iv : Intervals) {
-        if (Iv.Start > P || Iv.End <= P || Iv.VReg == L.A)
+      for (size_t I = 0; I < Open.size();) {
+        const Interval &Iv = Intervals[Open[I]];
+        if (Iv.End <= P) {
+          Open[I] = Open.back();
+          Open.pop_back();
+          continue;
+        }
+        ++I;
+        if (Iv.VReg == L.A)
           continue;
         M.Live.push_back(Iv.Reg >= 0
                              ? static_cast<uint16_t>(Iv.Reg)

@@ -70,32 +70,35 @@ void cloneHeaderBody(MIRGraph &Graph, MBasicBlock *Header, MBasicBlock *Dest,
   }
 }
 
-bool invertLoop(MIRGraph &Graph, const NaturalLoop &Loop) {
+/// Rotates \p Loop. \returns the wrapper block that took the dead
+/// header's place, or nullptr when the loop's shape does not qualify (the
+/// graph is then untouched).
+MBasicBlock *invertLoop(MIRGraph &Graph, const NaturalLoop &Loop) {
   MBasicBlock *H = Loop.Header;
 
   if (Loop.BackEdgePreds.size() != 1)
-    return false;
+    return nullptr;
   MBasicBlock *Latch = Loop.BackEdgePreds[0];
   MInstr *LatchTerm = Latch->terminator();
   if (!LatchTerm || LatchTerm->op() != MirOp::Goto || Latch == H)
-    return false;
+    return nullptr;
 
   MInstr *T = H->terminator();
   if (!T || T->op() != MirOp::Test)
-    return false;
+    return nullptr;
   MBasicBlock *SuccTrue = T->successor(0);
   MBasicBlock *SuccFalse = T->successor(1);
   bool TrueInLoop = Loop.contains(SuccTrue);
   bool FalseInLoop = Loop.contains(SuccFalse);
   if (TrueInLoop == FalseInLoop)
-    return false;
+    return nullptr;
   MBasicBlock *Body = TrueInLoop ? SuccTrue : SuccFalse;
   MBasicBlock *Exit = TrueInLoop ? SuccFalse : SuccTrue;
 
   if (Body->numPredecessors() != 1 || Exit->numPredecessors() != 1)
-    return false;
+    return nullptr;
   if (Body == H || Exit == H || Body == Exit)
-    return false;
+    return nullptr;
   assert(Body->phis().empty() && Exit->phis().empty() &&
          "single-predecessor blocks cannot have phis");
 
@@ -110,19 +113,19 @@ bool invertLoop(MIRGraph &Graph, const NaturalLoop &Loop) {
       continue;
     }
     if (Pre)
-      return false;
+      return nullptr;
     Pre = P;
   }
   if (!Pre)
-    return false;
+    return nullptr;
   MInstr *PreTerm = Pre->terminator();
   if (!PreTerm)
-    return false;
+    return nullptr;
 
   // Header instructions must be duplicable.
   for (MInstr *I : H->instructions())
     if (I->isEffectful())
-      return false;
+      return nullptr;
 
   // No header phi may carry a header instruction on its back edge (the
   // clone-resolution order cannot handle it; rare shape, skip).
@@ -133,7 +136,7 @@ bool invertLoop(MIRGraph &Graph, const NaturalLoop &Loop) {
   for (MInstr *Phi : HeaderPhis) {
     MInstr *Back = Phi->operand(LatchIdx);
     if (!Back->isPhi() && Back->block() == H)
-      return false;
+      return nullptr;
   }
 
   // --- 1. Rewire Body/Exit predecessor lists (before adding phis). ---
@@ -288,35 +291,58 @@ bool invertLoop(MIRGraph &Graph, const NaturalLoop &Loop) {
   Graph.removeBlock(H);
 
   Body->setLoopHeader(true);
-  return true;
+  return W;
 }
 
 } // namespace
 
 void jitvs::runLoopInversion(MIRGraph &Graph) {
-  // Loop structure is re-analyzed after every successful rotation:
-  // inverting an inner loop restructures the blocks an enclosing loop's
-  // analysis referred to. Innermost (smallest-body) loops go first.
-  std::unordered_set<uint32_t> Attempted;
-  bool Changed = false;
-  while (true) {
-    DominatorTree::build(Graph);
-    std::vector<NaturalLoop> Loops = findNaturalLoops(Graph);
-    std::sort(Loops.begin(), Loops.end(),
-              [](const NaturalLoop &A, const NaturalLoop &B) {
-                return A.Body.size() < B.Body.size();
-              });
-    const NaturalLoop *Next = nullptr;
-    for (const NaturalLoop &Loop : Loops) {
-      if (Loop.Header->isDead() || Attempted.count(Loop.Header->id()))
-        continue;
-      Next = &Loop;
-      break;
+  // One dominator tree and one loop list serve the whole pass; each loop
+  // is visited once, innermost (smallest body) first, ties in discovery
+  // order. A rotation leaves the analysis of the loops still to come
+  // valid except for one block, which the remap below patches:
+  //  - the rotated header H dies and its wrapper W takes its place in
+  //    every enclosing loop body: W has H's outside predecessor and H's
+  //    two successors, so it lies in exactly the loops H lay in, and
+  //    rotation keeps the dominance relation among the surviving blocks;
+  //  - the OSR shim joins no loop: an OSR edge into H bypasses every
+  //    header that could enclose H, so a loop entered by OSR has no
+  //    natural enclosing loop;
+  //  - the rotated loop itself (now headed by its body entry) is never
+  //    worth re-trying: its latch ends in a Test, not a Goto.
+  // The pass leaves the blocks' dominator information stale; every
+  // later consumer rebuilds it.
+  DominatorTree::build(Graph);
+  std::vector<NaturalLoop> Loops = findNaturalLoops(Graph);
+  std::stable_sort(Loops.begin(), Loops.end(),
+                   [](const NaturalLoop &A, const NaturalLoop &B) {
+                     return A.Body.size() < B.Body.size();
+                   });
+
+  // HeaderSlots[L]: the (loop, body position) pairs naming loop L's
+  // header inside an enclosing loop's body.
+  std::unordered_map<const MBasicBlock *, size_t> LoopOfHeader;
+  for (size_t L = 0; L != Loops.size(); ++L)
+    LoopOfHeader[Loops[L].Header] = L;
+  std::vector<std::vector<std::pair<size_t, size_t>>> HeaderSlots(
+      Loops.size());
+  for (size_t L = 0; L != Loops.size(); ++L) {
+    const std::vector<MBasicBlock *> &Body = Loops[L].Body;
+    for (size_t Pos = 0; Pos != Body.size(); ++Pos) {
+      auto It = LoopOfHeader.find(Body[Pos]);
+      if (It != LoopOfHeader.end() && It->second != L)
+        HeaderSlots[It->second].push_back({L, Pos});
     }
-    if (!Next)
-      break;
-    Attempted.insert(Next->Header->id());
-    Changed |= invertLoop(Graph, *Next);
+  }
+
+  bool Changed = false;
+  for (size_t L = 0; L != Loops.size(); ++L) {
+    MBasicBlock *W = invertLoop(Graph, Loops[L]);
+    if (!W)
+      continue;
+    Changed = true;
+    for (auto [Outer, Pos] : HeaderSlots[L])
+      Loops[Outer].Body[Pos] = W;
   }
   if (!Changed)
     return;

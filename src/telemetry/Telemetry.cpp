@@ -183,9 +183,7 @@ bool isSpanKind(TelemetryEventKind K) {
 
 } // namespace
 
-Telemetry::Telemetry() : EpochNs(monotonicNowNs()) {
-  Ring.resize(DefaultCapacity);
-}
+Telemetry::Telemetry() : EpochNs(monotonicNowNs()) {}
 
 Telemetry &Telemetry::instance() {
   static Telemetry T;
@@ -197,9 +195,10 @@ uint64_t Telemetry::nowNs() const { return monotonicNowNs() - EpochNs; }
 void Telemetry::configure(uint32_t CategoryMask, size_t Capacity) {
   std::lock_guard<std::mutex> Lock(Mu);
   Mask = CategoryMask;
-  if (Capacity != 0 && Capacity != Ring.size()) {
-    Ring.assign(Capacity, TelemetryEvent());
-    Head = Count = 0;
+  if (Capacity != 0 && Capacity != Cap) {
+    Cap = Capacity;
+    Ring = std::vector<TelemetryEvent>();
+    Head = 0;
     Dropped = 0;
   }
   telemetry_detail::ActiveMask = Mask | Spew;
@@ -213,7 +212,8 @@ void Telemetry::setSpewMask(uint32_t CategoryMask) {
 
 void Telemetry::clear() {
   std::lock_guard<std::mutex> Lock(Mu);
-  Head = Count = 0;
+  Ring.clear();
+  Head = 0;
   Dropped = 0;
   Sites.clear();
 }
@@ -243,21 +243,26 @@ void Telemetry::record(TelemetryEvent E) {
     ++S.ByReason[static_cast<size_t>(E.Reason)];
   }
 
+  // The ring grows into its reservation until it holds Cap events, so a
+  // process pays for the pages it records into and nothing more. Head
+  // stays 0, the oldest slot, until the ring is full.
+  if (Ring.size() < Cap) {
+    if (Ring.capacity() == 0)
+      Ring.reserve(Cap);
+    Ring.push_back(E);
+    return;
+  }
   Ring[Head] = E;
-  Head = (Head + 1) % Ring.size();
-  if (Count < Ring.size())
-    ++Count;
-  else
-    ++Dropped;
+  Head = (Head + 1) % Cap;
+  ++Dropped;
 }
 
 std::vector<TelemetryEvent> Telemetry::events() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<TelemetryEvent> Out;
-  Out.reserve(Count);
-  size_t Start = (Head + Ring.size() - Count) % Ring.size();
-  for (size_t I = 0; I != Count; ++I)
-    Out.push_back(Ring[(Start + I) % Ring.size()]);
+  if (Ring.size() < Cap)
+    return Ring; // Not wrapped yet: already oldest first.
+  std::vector<TelemetryEvent> Out(Ring.begin() + Head, Ring.end());
+  Out.insert(Out.end(), Ring.begin(), Ring.begin() + Head);
   return Out;
 }
 

@@ -171,8 +171,8 @@ public:
   uint64_t nowNs() const;
 
   // --- Ring access (oldest first) ---
-  size_t size() const { return Count; }
-  size_t capacity() const { return Ring.size(); }
+  size_t size() const { return Ring.size(); }
+  size_t capacity() const { return Cap; }
   /// Events overwritten because the ring wrapped.
   uint64_t dropped() const { return Dropped; }
   /// \returns buffered events, oldest first.
@@ -209,9 +209,11 @@ private:
   mutable std::mutex Mu;
   uint32_t Mask = 0;
   uint32_t Spew = 0;
+  /// Configured ring capacity. The ring itself is reserved on the first
+  /// recorded event, so a process with telemetry off never touches it.
+  size_t Cap = DefaultCapacity;
   std::vector<TelemetryEvent> Ring;
-  size_t Head = 0;  ///< Next write position.
-  size_t Count = 0; ///< Buffered events (<= capacity).
+  size_t Head = 0; ///< Next write position once the ring is full.
   uint64_t Dropped = 0;
   uint64_t EpochNs = 0;
 

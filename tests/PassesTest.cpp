@@ -168,6 +168,67 @@ TEST(LoopInversion, SkipsLoopsWithBreaks) {
   EXPECT_EQ(countOps(*G, MirOp::Test), TestsBefore);
 }
 
+/// \returns how many of the graph's natural loops are rotated (their latch
+/// ends in the loop test rather than a Goto to the header), and how many
+/// loops there are.
+std::pair<size_t, size_t> rotatedLoops(MIRGraph &G) {
+  DominatorTree::build(G);
+  std::vector<NaturalLoop> Loops = findNaturalLoops(G);
+  size_t Rotated = 0;
+  for (const NaturalLoop &L : Loops) {
+    const MInstr *Term = L.BackEdgePreds.front()->terminator();
+    if (Term && Term->op() == MirOp::Test)
+      ++Rotated;
+  }
+  return {Rotated, Loops.size()};
+}
+
+TEST(LoopInversion, RotatesSiblingAndNestedLoopsInOnePass) {
+  // Three sibling loops, then a 3-deep nest: six rotatable loops, each
+  // gaining exactly one Test (wrapper + latch replace the header test).
+  PassTester T("function f(n) { var s = 0;"
+               "  var a = 0; while (a < n) { s += a; a++; }"
+               "  var b = 0; while (b < n) { s += b; b++; }"
+               "  var c = 0; while (c < n) { s += c; c++; }"
+               "  var i = 0;"
+               "  while (i < n) { var j = 0;"
+               "    while (j < n) { var k = 0;"
+               "      while (k < n) { s += k; k++; }"
+               "      j++; }"
+               "    i++; }"
+               "  return s; }"
+               "for (var q = 0; q < 10; q++) f(4);");
+  auto G = T.build("f");
+  runGVN(*G);
+  EXPECT_EQ(rotatedLoops(*G), std::make_pair(size_t(0), size_t(6)));
+  size_t TestsBefore = countOps(*G, MirOp::Test);
+  runLoopInversion(*G);
+  EXPECT_EQ(countOps(*G, MirOp::Test), TestsBefore + 6);
+  EXPECT_EQ(verifyGraph(*G), "");
+  EXPECT_EQ(rotatedLoops(*G), std::make_pair(size_t(6), size_t(6)));
+}
+
+TEST(LoopInversion, SkippedInnerLoopLeavesEnclosingLoopsRotatable) {
+  // The innermost loop breaks (two exits), so it keeps its shape; the
+  // two loops around it are still rotated.
+  PassTester T("function f(n) { var s = 0;"
+               "  var i = 0;"
+               "  while (i < n) { var j = 0;"
+               "    while (j < n) { var k = 0;"
+               "      while (k < n) { if (k == 2) break; s += k; k++; }"
+               "      j++; }"
+               "    i++; }"
+               "  return s; }"
+               "for (var q = 0; q < 10; q++) f(4);");
+  auto G = T.build("f");
+  runGVN(*G);
+  size_t TestsBefore = countOps(*G, MirOp::Test);
+  runLoopInversion(*G);
+  EXPECT_EQ(countOps(*G, MirOp::Test), TestsBefore + 2);
+  EXPECT_EQ(verifyGraph(*G), "");
+  EXPECT_EQ(rotatedLoops(*G), std::make_pair(size_t(2), size_t(3)));
+}
+
 TEST(DeadCodeElim, RemovesWrappingConditional) {
   // Under specialization the loop provably runs: after inversion, DCE
   // folds the wrapper (the paper's Section 3.4 observation).

@@ -11,6 +11,9 @@
 ///
 /// Exit status: 0 = no divergence, 1 = divergence found (the report with
 /// the seed and minimized reproducer is printed to stdout), 2 = usage.
+/// A fatal signal (SIGSEGV, SIGBUS, SIGFPE, SIGILL, SIGABRT) while a
+/// generated program runs prints the seed and config column to stderr
+/// before the process dies of it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,12 +21,16 @@
 #include "fuzz/Minimizer.h"
 #include "fuzz/ProgramGen.h"
 
+#include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+
+#include <unistd.h>
 
 using namespace jitvs;
 using namespace jitvs::fuzz;
@@ -51,6 +58,55 @@ void usage() {
          "seed and a minimized reproducer.\n";
 }
 
+// What the fuzzer is running, for the fatal-signal handler. Written by the
+// main thread before each column; the handler (on whichever thread
+// faulted, compile workers included) only reads them. Lock-free atomics
+// are safe to read from a signal handler.
+std::atomic<uint64_t> CurrentSeed{0};
+std::atomic<const char *> CurrentColumn{nullptr};
+static_assert(std::atomic<uint64_t>::is_always_lock_free &&
+              std::atomic<const char *>::is_always_lock_free);
+
+void writeStr(const char *S) {
+  ssize_t Ignored = ::write(STDERR_FILENO, S, std::strlen(S));
+  (void)Ignored;
+}
+
+/// Names the seed and configuration column a crash happened in, using
+/// only async-signal-safe calls, then re-raises the signal so the
+/// process still dies of it (SA_RESETHAND restored the default action).
+void onFatalSignal(int Sig) {
+  char Digits[24];
+  char *P = Digits + sizeof(Digits);
+  *--P = '\0';
+  uint64_t Seed = CurrentSeed;
+  do {
+    *--P = static_cast<char>('0' + Seed % 10);
+    Seed /= 10;
+  } while (Seed);
+  writeStr("jitvs_fuzz: fatal signal at seed ");
+  writeStr(P);
+  writeStr(" config=");
+  const char *Column = CurrentColumn;
+  writeStr(Column ? Column : "?");
+  writeStr("\n");
+  std::raise(Sig);
+}
+
+void noteColumn(const EngineSetup &Setup) {
+  CurrentColumn = Setup.Name.c_str();
+}
+
+void installFatalSignalHandler() {
+  struct sigaction SA;
+  std::memset(&SA, 0, sizeof(SA));
+  SA.sa_handler = onFatalSignal;
+  SA.sa_flags = SA_RESETHAND;
+  sigemptyset(&SA.sa_mask);
+  for (int Sig : {SIGSEGV, SIGBUS, SIGFPE, SIGILL, SIGABRT})
+    sigaction(Sig, &SA, nullptr);
+}
+
 bool parseU64(const char *S, uint64_t &Out) {
   char *End = nullptr;
   Out = std::strtoull(S, &End, 0);
@@ -65,12 +121,12 @@ std::string report(const FuzzProgram *Prog, const std::string &Source,
   std::string MinSource = Source;
   if (Prog && Minimize) {
     FuzzProgram Min = minimize(*Prog, [&](const std::string &Candidate) {
-      return runMatrix(Candidate, Matrix).diverged();
+      return runMatrix(Candidate, Matrix, noteColumn).diverged();
     });
     MinSource = Min.render();
     // Re-diff the minimized program so the report's expected/actual and
     // telemetry describe the reproducer itself, not its ancestor.
-    DiffResult MinResult = runMatrix(MinSource, Matrix);
+    DiffResult MinResult = runMatrix(MinSource, Matrix, noteColumn);
     if (MinResult.diverged())
       return describeDivergence(MinResult.Divergences.front(), Seed,
                                 MinSource);
@@ -148,14 +204,19 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
+  // A crash in a generated program names the seed and column it
+  // happened in.
+  installFatalSignalHandler();
+
   if (Opt.HaveSeed) {
+    CurrentSeed = Opt.Seed;
     FuzzProgram Prog = generateProgram(Opt.Seed);
     std::string Source = Prog.render();
     if (Opt.Dump) {
       std::cout << Source;
       return 0;
     }
-    DiffResult Result = runMatrix(Source, Matrix);
+    DiffResult Result = runMatrix(Source, Matrix, noteColumn);
     if (Result.diverged()) {
       std::cout << report(&Prog, Source, Opt.Seed, Result, Matrix,
                           Opt.Minimize);
@@ -169,9 +230,10 @@ int main(int Argc, char **Argv) {
   // Sweep mode: Count seeds starting at StartSeed. Stops at the first
   // divergence (after minimizing it) so CI fails fast with a reproducer.
   for (uint64_t S = Opt.StartSeed; S < Opt.StartSeed + Opt.Count; ++S) {
+    CurrentSeed = S;
     FuzzProgram Prog = generateProgram(S);
     std::string Source = Prog.render();
-    DiffResult Result = runMatrix(Source, Matrix);
+    DiffResult Result = runMatrix(Source, Matrix, noteColumn);
     if (Result.diverged()) {
       std::cout << report(&Prog, Source, S, Result, Matrix,
                           /*Minimize=*/true);
